@@ -2,11 +2,14 @@
 # PR) must keep green. Individual targets:
 #
 #   make build        compile everything
-#   make vet          go vet over all packages
+#   make vet          go vet over all packages, and fail if gofmt -l
+#                     lists any file
 #   make test         full test suite; the concurrency-heavy packages
 #                     (security, vm, events, netsim, audit, vfs,
 #                     streams, objspace, remote, playground, classes,
-#                     core, load) are rerun under the data-race detector
+#                     core, load) are rerun under the data-race detector,
+#                     and the perfbench module (nested, so ./... never
+#                     reaches it) runs its own tests
 #   make bench-smoke  one fast pass over the E8 access-control, events,
 #                     and netsim benchmarks
 #   make bench-json   full mvmbench run, machine-readable, written to
@@ -34,10 +37,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/security/ ./internal/vm/ ./internal/events/ ./internal/netsim/ ./internal/audit/ ./internal/vfs/ ./internal/streams/ ./internal/objspace/ ./internal/remote/ ./internal/playground/ ./internal/classes/ ./internal/core/ ./internal/load/
+	cd perfbench && $(GO) test .
 
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkE8AccessControl|BenchmarkE8PolicyScale' -benchtime=100x .

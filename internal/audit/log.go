@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,7 +130,8 @@ type Log struct {
 	segIdx map[string]*segIndex
 
 	// Reused drain scratch (all guarded by drainMu).
-	sweep    []Record
+	sweep    []Record // swept ring records, one run per shard
+	runs     []run
 	pending  []byte
 	leafBuf  []byte
 	leafOffs []int // cumulative end offsets of encoded leaf lines
@@ -311,23 +311,41 @@ func (l *Log) emit(ev Event) {
 			}
 		}
 	}
-	rec := Record{Event: ev, Seq: l.seq.Add(1), Time: l.clock().UnixNano()}
+	now := l.clock().UnixNano()
 	sh := &l.shards[uint64(ev.Thread)&l.shardMask]
 	sh.mu.Lock()
+	var slot *Record
 	if sh.n == len(sh.buf) {
-		// Overflow: drop the oldest record in place.
-		old := &sh.buf[sh.start]
-		l.dropped[old.Cat.index()].Add(1)
-		if old.User != "" {
-			l.releaseOne(old.User)
+		// Overflow: the oldest record's slot becomes the tail.
+		slot = &sh.buf[sh.start]
+		l.dropped[slot.Cat.index()].Add(1)
+		if slot.User != "" {
+			l.releaseOne(slot.User)
 		}
-		sh.buf[sh.start] = rec
 		sh.start = (sh.start + 1) % len(sh.buf)
 	} else {
-		sh.buf[(sh.start+sh.n)%len(sh.buf)] = rec
+		slot = &sh.buf[(sh.start+sh.n)%len(sh.buf)]
 		sh.n++
 	}
+	// The sequence number is taken under the shard lock, so each ring
+	// holds its records in Seq order and the drainer's cut (see
+	// sweepLocked) never passes a record that is not yet pushed.
+	*slot = Record{Event: ev, Seq: l.seq.Add(1), Time: now}
+	first := sh.n == 1
 	sh.mu.Unlock()
+	// Only the record that makes a ring non-empty wakes the drainer:
+	// a non-empty ring already has a sweep coming (sweepLocked wakes
+	// itself again for records it leaves behind), and sparing every
+	// other emit a channel operation keeps emitters off the channel
+	// lock.
+	if first {
+		l.wakeDrainer()
+	}
+}
+
+// wakeDrainer schedules a drainer pass without blocking; a pending
+// wake already covers this one.
+func (l *Log) wakeDrainer() {
 	select {
 	case l.wake <- struct{}{}:
 	default:
@@ -452,31 +470,17 @@ func (l *Log) drainLocked(force bool) {
 		l.drainLegacyLocked()
 		return
 	}
-	// Sweep every ring into the reused buffer; emitters are only
-	// blocked for the copy.
-	l.sweep = l.sweep[:0]
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			l.sweep = append(l.sweep, sh.buf[(sh.start+j)%len(sh.buf)])
-		}
-		sh.start, sh.n = 0, 0
-		sh.mu.Unlock()
-	}
-	if len(l.sweep) > 0 {
-		// Restore global emission order across shards, fan out to
-		// live subscribers right away (their latency should track the
-		// flush interval, not MerkleWait), then stage for commit.
-		sortRecords(l.sweep)
-		l.fanOut(l.sweep)
-		if len(l.hold) == 0 {
+	// Sweep the rings straight onto the tail of the hold; it stays in
+	// Seq order because every record swept now is past the previous
+	// cut. Fan the new records out to live subscribers right away
+	// (their latency should track the flush interval, not MerkleWait).
+	held := len(l.hold)
+	l.hold = l.sweepLocked(l.hold)
+	if len(l.hold) > held {
+		if held == 0 {
 			l.holdSince = l.clock()
-			l.hold = append(l.hold[:0], l.sweep...)
-		} else {
-			l.hold = append(l.hold, l.sweep...)
-			sortRecords(l.hold)
 		}
+		l.fanOut(l.hold[held:])
 	}
 	if len(l.hold) == 0 {
 		return
@@ -611,26 +615,15 @@ func (l *Log) flushPending() {
 	l.pending = l.pending[:0]
 }
 
-// drainLegacyLocked is the PR 3 consumption side, kept verbatim as the
-// ChainPerRecord mode: collect, order, hash-chain one record at a
-// time into v1 segments, fan out. It is both the v1-format writer the
-// compatibility tests need and the measured baseline the Merkle
-// drainer is benchmarked against.
+// drainLegacyLocked is the ChainPerRecord consumption side: sweep,
+// hash-chain one record at a time into v1 segments, fan out. It is
+// both the v1-format writer the compatibility tests need and the
+// measured baseline the Merkle drainer is benchmarked against.
 func (l *Log) drainLegacyLocked() {
-	var batch []Record
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			batch = append(batch, sh.buf[(sh.start+j)%len(sh.buf)])
-		}
-		sh.start, sh.n = 0, 0
-		sh.mu.Unlock()
-	}
+	batch := l.sweepLocked(nil)
 	if len(batch) == 0 {
 		return
 	}
-	sortRecords(batch)
 
 	// Chain and persist, rotating segments as they fill. The chain
 	// input is prev-hash ++ body, built in reused buffers so the loop
@@ -672,21 +665,76 @@ func (l *Log) drainLegacyLocked() {
 	l.fanOut(batch)
 }
 
-// sortRecords restores global emission order across shards.
-// slices.SortFunc avoids sort.Slice's reflection-based swapper — drain
-// batches are usually tiny and the swapper setup dominated the sort —
-// and pdqsort makes re-sorting the mostly-ordered hold buffer cheap.
-func sortRecords(recs []Record) {
-	slices.SortFunc(recs, func(a, b Record) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		default:
-			return 0
+// sweepLocked appends to dst, in Seq order, every ring record at or
+// below a cut taken from the sequence counter before the sweep, and
+// leaves later records in their rings for the next pass. The sweep
+// locks one shard at a time, yet the cut is consistent: a record with
+// Seq <= cut got its number under its shard's lock before the cut was
+// read, so it is in its ring (or was displaced by overflow) by the
+// time the drainer takes that lock. Every later sweep therefore sees
+// only records past this cut, and the committed trail never goes
+// backwards. Each ring is already in Seq order (Seq is taken under its
+// lock), so a k-way merge of the per-shard runs replaces a sort.
+// Caller holds drainMu.
+func (l *Log) sweepLocked(dst []Record) []Record {
+	cut := l.seq.Load()
+	l.sweep = l.sweep[:0]
+	l.runs = l.runs[:0]
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		k := sh.n
+		for k > 0 && sh.buf[(sh.start+k-1)%len(sh.buf)].Seq > cut {
+			k--
 		}
-	})
+		if k > 0 {
+			lo := len(l.sweep)
+			if end := sh.start + k; end <= len(sh.buf) {
+				l.sweep = append(l.sweep, sh.buf[sh.start:end]...)
+			} else {
+				l.sweep = append(l.sweep, sh.buf[sh.start:]...)
+				l.sweep = append(l.sweep, sh.buf[:end-len(sh.buf)]...)
+			}
+			sh.start = (sh.start + k) % len(sh.buf)
+			sh.n -= k
+			l.runs = append(l.runs, run{lo, len(l.sweep)})
+		}
+		left := sh.n > 0
+		sh.mu.Unlock()
+		if left {
+			// Records past the cut stay queued; their emitters found
+			// the ring non-empty and sent no wake, so schedule the
+			// next pass here.
+			l.wakeDrainer()
+		}
+	}
+	return mergeRuns(dst, l.sweep, l.runs)
+}
+
+// run is one shard's swept records, src[lo:hi], ascending by Seq.
+type run struct{ lo, hi int }
+
+// mergeRuns appends the Seq-ordered merge of the non-empty sorted runs
+// of src to dst. With at most one run per shard, a linear scan for
+// the smallest head beats a heap.
+func mergeRuns(dst, src []Record, runs []run) []Record {
+	for len(runs) > 1 {
+		m := 0
+		for i := 1; i < len(runs); i++ {
+			if src[runs[i].lo].Seq < src[runs[m].lo].Seq {
+				m = i
+			}
+		}
+		dst = append(dst, src[runs[m].lo])
+		if runs[m].lo++; runs[m].lo == runs[m].hi {
+			runs[m] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+	}
+	if len(runs) == 1 {
+		dst = append(dst, src[runs[0].lo:runs[0].hi]...)
+	}
+	return dst
 }
 
 // fanOut delivers records to subscribers: bounded, non-blocking — a

@@ -152,17 +152,17 @@ func chainLink(buf []byte, prev [32]byte, headerBase []byte) ([32]byte, []byte) 
 // slice its leaf lines out of the segment without a scan (byte
 // offsets), and re-link it (root + chain).
 type batchMeta struct {
-	idx      int    // root-chain position (global batch index)
-	hdrOff   int    // byte offset of the '#' header line in the segment
-	dataOff  int    // byte offset of the first leaf line
-	end      int    // byte offset past the last leaf line's newline
-	hdrLine  int    // 1-based line number of the header in the segment
-	count    int    // leaf records in the batch
-	first    uint64 // first record's Seq
-	last     uint64 // last record's Seq
-	mask     Category
-	root     [32]byte
-	chain    [32]byte
+	idx     int    // root-chain position (global batch index)
+	hdrOff  int    // byte offset of the '#' header line in the segment
+	dataOff int    // byte offset of the first leaf line
+	end     int    // byte offset past the last leaf line's newline
+	hdrLine int    // 1-based line number of the header in the segment
+	count   int    // leaf records in the batch
+	first   uint64 // first record's Seq
+	last    uint64 // last record's Seq
+	mask    Category
+	root    [32]byte
+	chain   [32]byte
 }
 
 // appendHeaderBase renders the header line through the root field —

@@ -47,10 +47,10 @@ func (q QuotaConfig) enabled() bool {
 // Conservation invariant per dimension: Admitted + Rejected ==
 // Attempted.
 type QuotaStats struct {
-	AppsAttempted, AppsAdmitted, AppsRejected       int64
+	AppsAttempted, AppsAdmitted, AppsRejected          int64
 	ThreadsAttempted, ThreadsAdmitted, ThreadsRejected int64
-	EventsAttempted, EventsAdmitted, EventsRejected int64
-	AuditAttempted, AuditAdmitted, AuditRejected    int64
+	EventsAttempted, EventsAdmitted, EventsRejected    int64
+	AuditAttempted, AuditAdmitted, AuditRejected       int64
 }
 
 // userQuota holds one user's live-resource counters.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mpj/internal/core"
@@ -102,12 +103,30 @@ func printEntry(ctx *core.Context, long bool, name string, size int64, mode, own
 	ctx.Printf("%s%s %-8s %8d %s\n", kind, mode, owner, size, name)
 }
 
+// copyBufSize is the chunk cat moves from stdin to stdout: one page,
+// so a bulk stream still crosses a pipe in a few writes per ring.
+const copyBufSize = 4096
+
+// copyBufs recycles cat's copy buffers. io.Copy between two streams
+// allocates (and zeroes) a fresh 32 KiB buffer per call, which cost
+// more than everything else a short pipeline like `echo data | cat`
+// does.
+var copyBufs = sync.Pool{New: func() any { return new([copyBufSize]byte) }}
+
+// copyStream copies src to dst until EOF through a pooled buffer.
+func copyStream(dst io.Writer, src io.Reader) error {
+	buf := copyBufs.Get().(*[copyBufSize]byte)
+	defer copyBufs.Put(buf)
+	_, err := io.CopyBuffer(dst, src, buf[:])
+	return err
+}
+
 // catMain copies the named files (or stdin when none) to stdout. Like
 // its Unix namesake it "only uses the standard streams, and therefore
 // also works if not run from a terminal (such as in a pipe)".
 func catMain(ctx *core.Context, args []string) int {
 	if len(args) == 0 {
-		if _, err := io.Copy(ctx.Stdout(), ctx.Stdin()); err != nil {
+		if err := copyStream(ctx.Stdout(), ctx.Stdin()); err != nil {
 			ctx.Errorf("cat: %v\n", err)
 			return 1
 		}

@@ -140,11 +140,11 @@ type Runner struct {
 	cfg Config
 	op  Op
 
-	issued, admitted, dropped     atomic.Int64
-	completed, errs               atomic.Int64
-	measIssued, measDropped       atomic.Int64
-	measCompleted                 atomic.Int64
-	firstErr                      atomic.Pointer[error]
+	issued, admitted, dropped atomic.Int64
+	completed, errs           atomic.Int64
+	measIssued, measDropped   atomic.Int64
+	measCompleted             atomic.Int64
+	firstErr                  atomic.Pointer[error]
 }
 
 // NewRunner builds a runner for op under cfg (defaults applied).

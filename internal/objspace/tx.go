@@ -369,12 +369,7 @@ func (tx *Tx) Commit() error {
 		latched++
 	}
 	if conflict == nil {
-		for i := range tx.acc {
-			if a := &tx.acc[i]; versionOf(a.rec.state.Load()) != a.seen {
-				conflict = a.rec
-				break
-			}
-		}
+		conflict = tx.stale()
 	}
 	if conflict != nil {
 		for _, a := range latch[:latched] {
@@ -393,6 +388,37 @@ func (tx *Tx) Commit() error {
 	}
 	tx.finish(true, nil)
 	return nil
+}
+
+// stale returns the first touched record whose version moved since
+// the transaction observed it, or nil when its reads so far still
+// form one snapshot.
+func (tx *Tx) stale() *record {
+	for i := range tx.acc {
+		if a := &tx.acc[i]; versionOf(a.rec.state.Load()) != a.seen {
+			return a.rec
+		}
+	}
+	return nil
+}
+
+// torn reports whether the transaction's reads may not form one
+// snapshot: a touched record is latched by a committer that may be
+// between installs, or has moved past the version read. The latch
+// check must come first: a committer latches its whole write set
+// before installing any of it, so once no latch is held, every
+// install that a read observed has a sibling install that the version
+// check sees.
+func (tx *Tx) torn() bool {
+	for i := range tx.acc {
+		if a := &tx.acc[i]; !a.held {
+			if !a.rec.mu.TryLock() {
+				return true
+			}
+			a.rec.mu.Unlock()
+		}
+	}
+	return tx.stale() != nil
 }
 
 // Abort releases the transaction's latches and discards its buffered
@@ -487,7 +513,8 @@ func backoff(attempt int) {
 // times, so it must be free of side effects other than operations on
 // the transaction; it must not call Commit or Abort itself. Any
 // non-conflict error from fn aborts the transaction and is returned
-// unchanged.
+// unchanged, provided the reads fn made still form one snapshot;
+// otherwise the attempt is retried like a conflict.
 //
 // Under ModeLocking (and for escalated records under ModeAdaptive) an
 // attempt that touches records out of ascending name order restarts
@@ -510,6 +537,11 @@ func (s *Space) Atomically(owner int64, fn func(*Tx) error) error {
 			if err = tx.Commit(); err == nil {
 				return nil
 			}
+		} else if !tx.done && tx.torn() {
+			// fn failed on reads that straddle a concurrent commit;
+			// its error describes no real state, so retry the
+			// attempt instead of surfacing it.
+			err = ErrConflict
 		}
 		retry := errors.Is(err, ErrConflict) || errors.Is(err, errRestart)
 		if retry {

@@ -170,9 +170,9 @@ func (m *mux) close() { _ = m.conn.Close() }
 // frameWriter adapts the mux into an io.Writer emitting stream frames
 // of one kind for one session.
 type frameWriter struct {
-	m    *mux
-	op   op
-	sid  uint64
+	m   *mux
+	op  op
+	sid uint64
 }
 
 var _ io.Writer = (*frameWriter)(nil)

@@ -260,16 +260,22 @@ func (wc *workerConn) shutdown() {
 	}
 	wc.down = true
 	sessions := make([]*workerSession, 0, len(wc.sessions))
+	apps := make([]*core.Application, 0, len(wc.sessions))
 	for _, s := range wc.sessions {
 		sessions = append(sessions, s)
+		apps = append(apps, s.app)
 	}
 	wc.sessions = make(map[uint64]*workerSession)
 	wc.mu.Unlock()
 	wc.m.close()
-	for _, s := range sessions {
+	for i, s := range sessions {
 		s.ui.close()
 		_ = s.stdinW.Close()
-		s.app.RequestExit(ExitWorkerLost)
+		// A session still inside Exec has no app yet; open sees
+		// wc.down once Exec returns and stops it there.
+		if apps[i] != nil {
+			apps[i].RequestExit(ExitWorkerLost)
+		}
 	}
 }
 
@@ -336,7 +342,13 @@ func (wc *workerConn) open(f frame) {
 		_ = wc.m.send(frame{Op: opOpenErr, SID: f.SID, Code: ExitOpenFailed, Str: err.Error()})
 		return
 	}
+	wc.mu.Lock()
 	s.app = app
+	down := wc.down
+	wc.mu.Unlock()
+	if down {
+		app.RequestExit(ExitWorkerLost)
+	}
 	go func() {
 		code := app.WaitFor()
 		wc.remove(f.SID)

@@ -166,7 +166,7 @@ func TestConcurrentCheckPermissionWithAddGrantRaces(t *testing.T) {
 	v := vm.New(vm.Config{IdlePolicy: vm.StayOnIdle, NoBootThreads: true})
 	defer v.Exit(0)
 
-	granted := make(chan int)    // announces rounds granted so far
+	granted := make(chan int) // announces rounds granted so far
 	var wg sync.WaitGroup
 
 	worker := func(th *vm.Thread) {

@@ -7,11 +7,14 @@ import (
 )
 
 // BenchmarkPipeThroughput streams 1 MiB through a pipe with a
-// concurrent reader, across buffer capacities. It demonstrates why
+// concurrent reader, across capacities. It demonstrates why
 // DefaultBufferSize is 64 KiB: below the chunk size, every write
 // blocks on the reader and throughput is set by cond-var handoffs;
-// at 64 KiB the producer streams ahead of the consumer the way a
-// shell pipeline (`cat f | grep x | wc`) needs.
+// with a 64 KiB ceiling the producer streams ahead of the consumer
+// the way a shell pipeline (`cat f | grep x | wc`) needs. Capacity is
+// a ceiling, not an allocation, so small messages never pay for it;
+// B/op here is the first write's ring plus the full-capacity ring that
+// the backlog grows it to.
 func BenchmarkPipeThroughput(b *testing.B) {
 	const total = 1 << 20
 	const chunk = 4096

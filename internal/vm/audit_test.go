@@ -80,4 +80,3 @@ func TestAppTagSlot(t *testing.T) {
 	th.Stop()
 	th.Join()
 }
-
