@@ -8,7 +8,9 @@
 #                     (security, vm, events, netsim, audit, vfs,
 #                     streams, objspace, remote, playground, classes,
 #                     core, load) are rerun under the data-race detector,
-#                     and the perfbench module (nested, so ./... never
+#                     the vm thread-carrier tests run ten times under it
+#                     (they race spawns against parking and halt), and
+#                     the perfbench module (nested, so ./... never
 #                     reaches it) runs its own tests
 #   make bench-smoke  one fast pass over the E8 access-control, events,
 #                     and netsim benchmarks
@@ -43,6 +45,7 @@ vet:
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/security/ ./internal/vm/ ./internal/events/ ./internal/netsim/ ./internal/audit/ ./internal/vfs/ ./internal/streams/ ./internal/objspace/ ./internal/remote/ ./internal/playground/ ./internal/classes/ ./internal/core/ ./internal/load/
+	$(GO) test -race -count=10 -run Carrier ./internal/vm/
 	cd perfbench && $(GO) test .
 
 bench-smoke:

@@ -1417,8 +1417,13 @@ type Stats struct {
 	StoreErr error
 }
 
-// Stats returns a snapshot of the log's counters.
+// Stats returns a snapshot of the log's counters. It holds drainMu
+// while it reads the rings, the hold and the chained count, so a record
+// the drainer moves meanwhile is counted exactly once: Records +
+// Dropped + Pending == Emitted whenever no Emit is in flight.
 func (l *Log) Stats() Stats {
+	l.drainMu.Lock()
+	defer l.drainMu.Unlock()
 	st := Stats{Mask: Category(l.mask.Load())}
 	for i := 0; i < numCategories; i++ {
 		cs := CategoryStats{
@@ -1443,7 +1448,6 @@ func (l *Log) Stats() Stats {
 	st.Subscribers = len(l.subs)
 	l.subMu.Unlock()
 	st.SubscriberDrops = l.subDropped.Load()
-	l.drainMu.Lock()
 	st.StoreErr = l.storeErr
 	st.Segments = int64(l.seg)
 	if l.segCount > 0 {
@@ -1458,6 +1462,5 @@ func (l *Log) Stats() Stats {
 	if l.batches > 0 || (l.legacy && st.Records > 0) {
 		st.LastChain = hex.EncodeToString(l.prev[:])
 	}
-	l.drainMu.Unlock()
 	return st
 }

@@ -177,3 +177,34 @@ func TestSweepLeavesRecordsPastTheCut(t *testing.T) {
 		t.Fatalf("verify: %+v %v", res, err)
 	}
 }
+
+// TestStatsCountsEachRecordOnceDuringDrain snapshots Stats while a
+// drain moves records from the rings into the hold and on into the
+// chain. The snapshot must count every record exactly once. It used to
+// read the rings before taking drainMu, so a sweep in between counted
+// the swept records twice (in the rings and in the hold).
+func TestStatsCountsEachRecordOnceDuringDrain(t *testing.T) {
+	l, _ := newTestLog(t, Config{Mask: CatAll, Shards: 4, MerkleBatch: 8,
+		MerkleWait: time.Hour, FlushInterval: time.Hour})
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 20; i++ {
+			l.Emit(Event{Cat: CatShell, Verb: "v", Thread: int64(i)})
+		}
+		synced := make(chan struct{})
+		go func() {
+			defer close(synced)
+			l.Sync()
+		}()
+		for done := false; !done; {
+			select {
+			case <-synced:
+				done = true
+			default:
+			}
+			if st := l.Stats(); st.Records+st.Dropped+uint64(st.Pending) != st.Emitted {
+				t.Fatalf("round %d: records %d + dropped %d + pending %d != emitted %d",
+					round, st.Records, st.Dropped, st.Pending, st.Emitted)
+			}
+		}
+	}
+}

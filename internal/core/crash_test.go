@@ -184,6 +184,9 @@ func TestStubbornThreadIsAbandoned(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+		// Main waits to be stopped, so its return code cannot win the
+		// race against the RequestExit code below.
+		<-ctx.Thread().StopChan()
 		return 0
 	})
 	app, err := p.Exec(ExecSpec{Program: "stubborn"})

@@ -149,6 +149,30 @@ func TestTemplateCacheReuseAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestWarmTemplateForDoesNotAllocate pins the launch fast path's
+// template lookup: once a program's slot holds a valid template,
+// templateFor must neither allocate a candidate slot nor box the name.
+func TestWarmTemplateForDoesNotAllocate(t *testing.T) {
+	p := newTestPlatform(t)
+	registerProgram(t, p, "noop", func(ctx *Context, args []string) int { return 0 })
+	prog, ok := p.Programs().Lookup("noop")
+	if !ok {
+		t.Fatal("noop not registered")
+	}
+	warm, err := p.templateFor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if tpl, err := p.templateFor(prog); err != nil || tpl != warm {
+			t.Fatalf("warm templateFor = %p, %v; want %p", tpl, err, warm)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm templateFor allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestExecRollbackLeavesNoThreadGroup is the regression test for the
 // launch-failure leak: a launch whose main thread is rejected (here by
 // the per-user thread quota) must tear its already-created thread

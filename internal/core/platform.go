@@ -608,9 +608,14 @@ func (p *Platform) userPermissions(name string) *security.Permissions {
 
 // templateFor returns a valid sealed template for the program,
 // building (or rebuilding, after a registry change) it under the
-// program's slot lock so concurrent launches share one derivation.
+// program's slot lock so concurrent launches share one derivation. A
+// warm launch only loads the slot; LoadOrStore (which allocates the
+// candidate slot and boxes the name) runs on a miss.
 func (p *Platform) templateFor(prog *Program) (*classes.Template, error) {
-	v, _ := p.templates.LoadOrStore(prog.Name, &templateSlot{})
+	v, ok := p.templates.Load(prog.Name)
+	if !ok {
+		v, _ = p.templates.LoadOrStore(prog.Name, &templateSlot{})
+	}
 	slot := v.(*templateSlot)
 	if tpl := slot.tpl.Load(); tpl != nil && tpl.Valid() {
 		return tpl, nil

@@ -15,7 +15,14 @@ import (
 // bob accounts.
 func quotaPlatform(t *testing.T, q QuotaConfig) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Config{Name: "quota", Quotas: q})
+	return quotaPlatformWith(t, Config{Name: "quota", Quotas: q})
+}
+
+// quotaPlatformWith boots a platform from cfg with the alice / bob
+// accounts.
+func quotaPlatformWith(t *testing.T, cfg Config) *Platform {
+	t.Helper()
+	p, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +274,17 @@ func TestQuotaTableUnit(t *testing.T) {
 // itself audited as a kernel-attributed CatApp event, other users are
 // unaffected, and committing a batch refunds the charges.
 func TestAuditQuotaBackpressure(t *testing.T) {
-	p := quotaPlatform(t, QuotaConfig{MaxPendingAuditPerUser: 4})
+	// The drainer holds a partial batch for MerkleWait before it
+	// commits it and refunds the charges. An hour-long wait keeps it
+	// from refunding mid-storm, so the storm's counts are exact; the
+	// explicit Syncs below still commit at once.
+	p := quotaPlatformWith(t, Config{Name: "quota",
+		Quotas:          QuotaConfig{MaxPendingAuditPerUser: 4},
+		AuditMerkleWait: time.Hour})
 	log := p.Audit()
 
-	// Storm: 20 alice-attributed denials back to back. At most 4 can be
-	// pending at once; the drainer may commit mid-storm, so assert via
-	// conservation rather than exact counts.
+	// Storm: 20 alice-attributed denials back to back. Nothing commits
+	// during it, so exactly 4 are admitted and 16 rejected.
 	for i := 0; i < 20; i++ {
 		log.Emit(audit.Event{Cat: audit.CatDeny, Verb: "deny", User: "alice", Detail: "file /etc/shadow"})
 	}
@@ -283,8 +295,8 @@ func TestAuditQuotaBackpressure(t *testing.T) {
 	if qs.AuditAttempted != 21 {
 		t.Fatalf("audit attempts = %d, want 21", qs.AuditAttempted)
 	}
-	if qs.AuditRejected == 0 || qs.AuditAdmitted+qs.AuditRejected != qs.AuditAttempted {
-		t.Fatalf("quota stats inconsistent: %+v", qs)
+	if qs.AuditRejected != 16 || qs.AuditAdmitted+qs.AuditRejected != qs.AuditAttempted {
+		t.Fatalf("quota stats = %+v, want 16 of 21 attempts rejected", qs)
 	}
 	as := log.Stats()
 	if int64(as.Degraded) != qs.AuditRejected {

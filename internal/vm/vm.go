@@ -95,7 +95,7 @@ type VM struct {
 	exitCode  int
 	idleFired bool
 
-	stopAll chan struct{} // closed on halt; daemon threads watch this
+	stopAll chan struct{} // closed on halt; daemon threads and parked carriers watch this
 	exited  chan struct{} // closed once the VM has fully halted
 
 	startTime time.Time
@@ -109,6 +109,11 @@ type VM struct {
 	// admission is the optional thread-admission hook (see
 	// SetThreadAdmission); a lock-free slot read on every spawn.
 	admission atomic.Pointer[ThreadAdmission]
+
+	// carriers hands a spawned thread to a parked carrier goroutine
+	// (see carry). Unbuffered: a send succeeds only if one is waiting.
+	carriers     chan *Thread
+	idleCarriers atomic.Int32
 }
 
 // ThreadAdmission is consulted before every thread spawn. It may veto
@@ -148,6 +153,7 @@ func New(cfg Config) *VM {
 		threads:   make(map[ThreadID]*Thread),
 		stopAll:   make(chan struct{}),
 		exited:    make(chan struct{}),
+		carriers:  make(chan *Thread),
 		startTime: time.Now(),
 	}
 	v.systemGroup = v.newGroupLocked(nil, "system")
