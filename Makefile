@@ -20,19 +20,26 @@
 #                     discarded — CI uses this to keep the harness
 #                     from rotting; the run fails outright if the
 #                     §E-audit drain/proof rows go missing
+#   make fuzz-smoke   each native fuzz target (internal/audit:
+#                     FuzzSegment, FuzzVerifyProof) fuzzed for 10s in
+#                     its own go test call; plain `make test` already
+#                     replays their committed seed corpora
 #   make load-smoke   mvmload's built-in smoke grid: a tiny open-loop
 #                     sweep that asserts every cell completes work —
 #                     CI's guard on the traffic harness
 #   make load-grid    the reproducible mvmload grid behind
 #                     EXPERIMENTS.md §E-load (slow); writes
 #                     LOAD_GRID.csv and LOAD_GRID.json
-#   make check        all of the above except bench-json and load-grid
+#   make check        all of the above except bench-json,
+#                     bench-json-smoke, fuzz-smoke and load-grid (CI
+#                     runs bench-json-smoke and fuzz-smoke as steps of
+#                     their own)
 #   make bench        the full experiment harness (slow)
 
 GO ?= go
 
 .PHONY: build vet test bench-smoke bench bench-json bench-json-smoke \
-	load-smoke load-grid check
+	fuzz-smoke load-smoke load-grid check
 
 build:
 	$(GO) build ./...
@@ -58,6 +65,10 @@ bench-json:
 
 bench-json-smoke:
 	$(GO) run ./cmd/mvmbench -iters 20 -json > /dev/null
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s ./internal/audit/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyProof$$' -fuzztime 10s ./internal/audit/
 
 load-smoke:
 	$(GO) run ./cmd/mvmload -smoke > /dev/null

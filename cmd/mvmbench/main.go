@@ -135,9 +135,7 @@ func run(iters int) error {
 	// by tooling diffing committed BENCH_*.json runs; a refactor that
 	// drops them must fail here (bench-json-smoke runs this in CI).
 	if err := rep.RequireRows("E-audit",
-		"drain per record, per-record chain",
 		"drain per record, merkle batch",
-		"drain speedup",
 		"Prove (50k-record trail",
 		"VerifyProof, standalone",
 		"inclusion proof hashes",
@@ -701,9 +699,9 @@ func eAudit(iters int) error {
 
 	// (e) Merkle batch commits: drain throughput under the PR 3 denial
 	// storm — identical denial events flooding the rings, the shape a
-	// hostile application's refused checks produce — for the legacy
-	// per-record chain and a sweep of merkle-batch sizes. Only the
-	// drain (Sync) is timed; emission is the same on every path.
+	// hostile application's refused checks produce — for a sweep of
+	// merkle-batch sizes. Only the drain (Sync) is timed; emission is
+	// the same on every path.
 	storm := audit.Event{Cat: audit.CatDeny, Verb: "deny", User: "mallory", App: 3, Thread: 9,
 		Detail: `file "/etc/shadow" "read" domain=file:/local/evil`}
 	const stormN = 4096
@@ -730,21 +728,9 @@ func eAudit(iters int) error {
 		}
 		return total / time.Duration(rounds*stormN)
 	}
-	legacy := drainCost(audit.Config{ChainPerRecord: true})
-	row("drain per record, per-record chain (baseline)", legacy)
-	var m64, m256 time.Duration
 	for _, b := range []int{16, 64, 256} {
-		d := drainCost(audit.Config{MerkleBatch: b})
-		row(fmt.Sprintf("drain per record, merkle batch %d", b), d)
-		switch b {
-		case 64:
-			m64 = d
-		case 256:
-			m256 = d
-		}
+		row(fmt.Sprintf("drain per record, merkle batch %d", b), drainCost(audit.Config{MerkleBatch: b}))
 	}
-	row("drain speedup, batch 64 vs per-record chain", fmt.Sprintf("%.2fx", float64(legacy)/float64(m64)))
-	row("drain speedup, batch 256 vs per-record chain", fmt.Sprintf("%.2fx", float64(legacy)/float64(m256)))
 
 	// (f) Inclusion proofs over a 50k-record trail: Prove walks the
 	// segment index and rebuilds one batch; VerifyProof re-hashes only

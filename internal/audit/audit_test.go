@@ -420,11 +420,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		Seq:  7,
 		Time: 123456789,
 	}
-	out, err := parseRecord(string(in.appendBody(nil)) + "\tdeadbeef")
+	out, err := parseRecordLine(in.appendBody(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Hash = "deadbeef"
 	if out != in {
 		t.Fatalf("round trip mismatch:\n in %+v\nout %+v", in, out)
 	}

@@ -7,9 +7,9 @@ import (
 
 // BenchmarkDrainStorm measures drain (Sync) cost per record under the
 // denial-storm shape — identical refused-check events flooding one
-// ring — for the legacy per-record chain and the Merkle batch sweep.
-// The ns/record metric times only the drain; emission is identical on
-// every path. mvmbench §E-audit publishes the same comparison.
+// ring — across a sweep of Merkle batch sizes. The ns/record metric
+// times only the drain; emission is identical on every path. mvmbench
+// §E-audit publishes the same comparison.
 func BenchmarkDrainStorm(b *testing.B) {
 	storm := Event{Cat: CatDeny, Verb: "deny", User: "mallory", App: 3, Thread: 9,
 		Detail: `file "/etc/shadow" "read" domain=file:/local/evil`}
@@ -18,7 +18,6 @@ func BenchmarkDrainStorm(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"legacy", Config{ChainPerRecord: true}},
 		{"merkle16", Config{MerkleBatch: 16}},
 		{"merkle64", Config{MerkleBatch: 64}},
 		{"merkle256", Config{MerkleBatch: 256}},

@@ -19,11 +19,12 @@
 //     never block on the audit subsystem.
 //
 //   - Consumption is one drainer per VM (a daemon thread spawned by
-//     the platform) that batches records out of the shards, appends
-//     them to hash-chained log segments (each record's hash covers the
-//     previous record's hash, so any in-place edit breaks the chain at
-//     the first tampered record — see Verify), and fans out to live
-//     subscribers through per-subscriber bounded queues.
+//     the platform) that batches records out of the shards, commits
+//     each batch to a log segment under a Merkle root linked into a
+//     running chain of batch headers (any in-place edit breaks its
+//     batch's root or the chain at that header — see merkle.go and
+//     Verify), and fans out to live subscribers through per-subscriber
+//     bounded queues.
 //
 // The package sits below every other kernel substrate: it imports
 // nothing from the repository, and persists through the narrow
@@ -154,8 +155,8 @@ type Event struct {
 }
 
 // Record is an Event as it lands in the log: stamped with a global
-// sequence number and emission time, and — once chained by the
-// drainer — the hex hash linking it to its predecessor.
+// sequence number and emission time. Integrity is not per record: the
+// drainer commits records in Merkle batches (see merkle.go).
 type Record struct {
 	Event
 	// Seq is the global emission sequence number (1-based, strictly
@@ -163,16 +164,12 @@ type Record struct {
 	Seq uint64
 	// Time is the emission time in Unix nanoseconds.
 	Time int64
-	// Hash is the hex SHA-256 over the previous record's hash and
-	// this record's body. Empty until the drainer chains the record.
-	Hash string
 }
 
-// appendBody renders the hashed portion of a record — a single
-// tab-separated line without the trailing hash field — appended to
-// dst, which the drainer reuses across records to keep the hot chain
-// loop allocation-free. Strings are quoted, so they can never contain
-// a raw tab or newline.
+// appendBody renders a record as one segment leaf line — tab-separated
+// fields, no trailing newline — appended to dst. It is the reference
+// encoding: the drainer's bodyEncoder must produce identical bytes.
+// Strings are quoted, so they can never contain a raw tab or newline.
 func (r *Record) appendBody(dst []byte) []byte {
 	dst = strconv.AppendUint(dst, r.Seq, 10)
 	dst = append(dst, '\t')
@@ -252,15 +249,10 @@ func (e *bodyEncoder) appendBody(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// recordFields is the number of tab-separated fields of an encoded v1
-// record line: the 8 body fields plus the hash. v2 leaf lines carry
-// only the 8 body fields — integrity lives in the batch header.
-const recordFields = 9
-
-// parseRecord decodes one v1 segment line back into a Record.
-func parseRecord(line string) (Record, error) {
-	return parseRecordLine([]byte(line), true)
-}
+// recordFields is the number of tab-separated fields of a leaf line.
+// There is no per-record hash field: integrity lives in the batch
+// header.
+const recordFields = 8
 
 // parseCatBytes resolves a category name field without allocating.
 func parseCatBytes(b []byte) (Category, error) {
@@ -292,30 +284,25 @@ func unquoteBytes(b []byte) (string, error) {
 	return strconv.Unquote(string(b))
 }
 
-// parseRecordLine decodes one record line — a v1 line (8 body fields
-// plus the hash) or a v2 leaf line (body fields only) — without the
-// strings.Split allocation per call: fields are sliced in place and
-// only the string payloads materialize.
-func parseRecordLine(line []byte, withHash bool) (Record, error) {
-	want := recordFields - 1
-	if withHash {
-		want = recordFields
-	}
+// parseRecordLine decodes one leaf line without the strings.Split
+// allocation per call: fields are sliced in place and only the string
+// payloads materialize.
+func parseRecordLine(line []byte) (Record, error) {
 	var fields [recordFields][]byte
 	n := 0
 	start := 0
 	for i := 0; i <= len(line); i++ {
 		if i == len(line) || line[i] == '\t' {
-			if n == want {
-				return Record{}, fmt.Errorf("audit: malformed record: more than %d fields", want)
+			if n == recordFields {
+				return Record{}, fmt.Errorf("audit: malformed record: more than %d fields", recordFields)
 			}
 			fields[n] = line[start:i]
 			n++
 			start = i + 1
 		}
 	}
-	if n != want {
-		return Record{}, fmt.Errorf("audit: malformed record: %d fields, want %d", n, want)
+	if n != recordFields {
+		return Record{}, fmt.Errorf("audit: malformed record: %d fields, want %d", n, recordFields)
 	}
 	var (
 		r   Record
@@ -344,9 +331,6 @@ func parseRecordLine(line []byte, withHash bool) (Record, error) {
 	}
 	if r.Detail, err = unquoteBytes(fields[7]); err != nil {
 		return Record{}, fmt.Errorf("audit: bad detail: %w", err)
-	}
-	if withHash {
-		r.Hash = string(fields[8])
 	}
 	return r, nil
 }

@@ -40,12 +40,6 @@ type Config struct {
 	// open waiting for more records before committing it undersized.
 	// Defaults to FlushInterval. Sync always commits immediately.
 	MerkleWait time.Duration
-	// ChainPerRecord selects the pre-Merkle consumption side: every
-	// record is individually hash-chained and persisted in segment
-	// format v1. It exists as the measured baseline for the Merkle
-	// drainer and as the writer for v1-compatibility tests; new
-	// deployments should leave it false.
-	ChainPerRecord bool
 	// Mask is the initial category mask; 0 selects DefaultMask.
 	Mask Category
 	// Clock supplies record timestamps (for deterministic tests).
@@ -101,7 +95,6 @@ type Log struct {
 	segmentRecords int
 	merkleBatch    int
 	merkleWait     time.Duration
-	legacy         bool // ChainPerRecord: v1 per-record chaining
 	clock          func() time.Time
 	flushInterval  time.Duration
 	wake           chan struct{}
@@ -110,7 +103,7 @@ type Log struct {
 	// Sync, Close, Verify, Query and Prove. Everything below it is
 	// guarded by drainMu.
 	drainMu  sync.Mutex
-	prev     [32]byte // chain head: last record hash (v1) or last batch link (v2)
+	prev     [32]byte // chain head: last batch link
 	lastRoot [32]byte // last committed batch's Merkle root
 	batches  int      // committed batches (root-chain length)
 	seg      int      // current segment index
@@ -149,10 +142,8 @@ type Log struct {
 	subDropped atomic.Uint64
 }
 
-// segIndex is the per-segment batch index. v1 segments have no
-// batches; their records are walked line by line.
+// segIndex is the per-segment batch index.
 type segIndex struct {
-	v1      bool
 	batches []batchMeta
 }
 
@@ -202,7 +193,6 @@ func New(cfg Config) *Log {
 		segmentRecords: cfg.SegmentRecords,
 		merkleBatch:    cfg.MerkleBatch,
 		merkleWait:     cfg.MerkleWait,
-		legacy:         cfg.ChainPerRecord,
 		clock:          cfg.Clock,
 		flushInterval:  cfg.FlushInterval,
 		wake:           make(chan struct{}, 1),
@@ -218,10 +208,11 @@ func New(cfg Config) *Log {
 }
 
 // resume continues an existing trail: segment numbering starts past
-// the highest stored segment (the formats must never interleave within
-// one segment) and, when the newest segment is v2, the root chain and
-// sequence counter pick up from its last batch header. Best effort: a
-// fresh or unreadable store just starts at segment 0.
+// the highest stored segment (a resumed writer never appends to a
+// segment it did not write) and the root chain and sequence counter
+// pick up from the newest segment's last batch header. Best effort: a
+// fresh or unreadable store just starts at segment 0, and an
+// unparseable tail starts a fresh chain that Verify then flags.
 func (l *Log) resume() {
 	names, err := l.store.List()
 	if err != nil || len(names) == 0 {
@@ -238,39 +229,18 @@ func (l *Log) resume() {
 	}
 	l.seg = maxIdx + 1
 	data, err := l.store.Read(segmentName(maxIdx))
-	if err != nil || len(data) == 0 {
+	if err != nil {
 		return
 	}
-	if isV2Segment(data) {
-		idx, err := buildSegIndex(data)
-		if err != nil || len(idx.batches) == 0 {
-			return
-		}
-		m := idx.batches[len(idx.batches)-1]
-		l.prev = m.chain
-		l.lastRoot = m.root
-		l.batches = m.idx + 1
-		l.seq.Store(m.last)
+	idx, err := buildSegIndex(data)
+	if err != nil || len(idx.batches) == 0 {
 		return
 	}
-	// v1 tail: resume the sequence counter past the last record. The
-	// v2 root chain starts fresh — it is independent of the v1
-	// per-record chain, and Verify walks each with its own genesis.
-	off := 0
-	var lastLine []byte
-	for off < len(data) {
-		line, next := nextLine(data, off)
-		if len(line) > 0 {
-			lastLine = line
-		}
-		off = next
-	}
-	if rec, err := parseRecordLine(lastLine, true); err == nil {
-		l.seq.Store(rec.Seq)
-		if l.legacy {
-			hexDecodeInto(l.prev[:], rec.Hash)
-		}
-	}
+	m := idx.batches[len(idx.batches)-1]
+	l.prev = m.chain
+	l.lastRoot = m.root
+	l.batches = m.idx + 1
+	l.seq.Store(m.last)
 }
 
 // ----- emission side -----
@@ -463,13 +433,9 @@ func (l *Log) drain(force bool) {
 func (l *Log) Close() { l.Sync() }
 
 // drainLocked sweeps the rings, fans the swept records out to
-// subscribers, and commits them — as Merkle batches, or one at a time
-// in ChainPerRecord mode. Caller holds drainMu.
+// subscribers, and commits them as Merkle batches. Caller holds
+// drainMu.
 func (l *Log) drainLocked(force bool) {
-	if l.legacy {
-		l.drainLegacyLocked()
-		return
-	}
 	// Sweep the rings straight onto the tail of the hold; it stays in
 	// Seq order because every record swept now is past the previous
 	// cut. Fan the new records out to live subscribers right away
@@ -613,56 +579,6 @@ func (l *Log) flushPending() {
 	}
 	l.segOff += len(l.pending)
 	l.pending = l.pending[:0]
-}
-
-// drainLegacyLocked is the ChainPerRecord consumption side: sweep,
-// hash-chain one record at a time into v1 segments, fan out. It is
-// both the v1-format writer the compatibility tests need and the
-// measured baseline the Merkle drainer is benchmarked against.
-func (l *Log) drainLegacyLocked() {
-	batch := l.sweepLocked(nil)
-	if len(batch) == 0 {
-		return
-	}
-
-	// Chain and persist, rotating segments as they fill. The chain
-	// input is prev-hash ++ body, built in reused buffers so the loop
-	// allocates only each record's hex hash string.
-	var chain, pending []byte
-	segName := segmentName(l.seg)
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		if err := l.store.Append(segName, pending); err != nil && l.storeErr == nil {
-			l.storeErr = err
-		}
-		pending = pending[:0]
-	}
-	for i := range batch {
-		rec := &batch[i]
-		chain = append(chain[:0], l.prev[:]...)
-		chain = rec.appendBody(chain)
-		sum := sha256.Sum256(chain)
-		copy(l.prev[:], sum[:])
-		rec.Hash = hex.EncodeToString(sum[:])
-
-		pending = append(pending, chain[len(l.prev):]...)
-		pending = append(pending, '\t')
-		pending = append(pending, rec.Hash...)
-		pending = append(pending, '\n')
-		l.segCount++
-		l.chained.Add(1)
-		if l.segCount >= l.segmentRecords {
-			flush()
-			l.seg++
-			l.segCount = 0
-			segName = segmentName(l.seg)
-		}
-	}
-	flush()
-	l.releaseBatch(batch)
-	l.fanOut(batch)
 }
 
 // sweepLocked appends to dst, in Seq order, every ring record at or
@@ -918,7 +834,7 @@ func (l *Log) Query(q Query) ([]Record, error) {
 	var out []Record
 	for _, name := range names {
 		idx := l.segIdx[name]
-		if idx != nil && !idx.v1 && q.Cats != 0 && !idx.anyMask(q.Cats) {
+		if idx != nil && q.Cats != 0 && !idx.anyMask(q.Cats) {
 			continue // no batch can match: skip without reading
 		}
 		data, err := l.store.Read(name)
@@ -931,25 +847,6 @@ func (l *Log) Query(q Query) ([]Record, error) {
 			}
 			l.segIdx[name] = idx
 		}
-		if idx.v1 {
-			off, lineNo := 0, 0
-			for off < len(data) {
-				line, next := nextLine(data, off)
-				off = next
-				lineNo++
-				if len(line) == 0 {
-					continue
-				}
-				rec, err := parseRecordLine(line, true)
-				if err != nil {
-					return nil, fmt.Errorf("%s line %d: %w", name, lineNo, err)
-				}
-				if q.match(&rec) {
-					out = append(out, rec)
-				}
-			}
-			continue
-		}
 		for bi := range idx.batches {
 			m := &idx.batches[bi]
 			if q.Cats != 0 && m.mask&q.Cats == 0 {
@@ -959,7 +856,7 @@ func (l *Log) Query(q Query) ([]Record, error) {
 			for r := 0; r < m.count && off < m.end; r++ {
 				line, next := nextLine(data, off)
 				off = next
-				rec, err := parseRecordLine(line, false)
+				rec, err := parseRecordLine(line)
 				if err != nil {
 					return nil, fmt.Errorf("%s batch %d: %w", name, m.idx, err)
 				}
@@ -1006,11 +903,9 @@ func (l *Log) listSegments() ([]string, error) {
 }
 
 // buildSegIndex scans a segment this instance didn't write and
-// reconstructs its batch index (or tags it v1).
+// reconstructs its batch index. A segment that does not open with the
+// version marker — an empty one included — is an error.
 func buildSegIndex(data []byte) (*segIndex, error) {
-	if !isV2Segment(data) {
-		return &segIndex{v1: true}, nil
-	}
 	idx := &segIndex{}
 	first, off := nextLine(data, 0)
 	if string(first) != strings.TrimSuffix(segVersionLine, "\n") {
@@ -1045,11 +940,10 @@ func buildSegIndex(data []byte) (*segIndex, error) {
 
 // VerifyOptions selects how much of the trail VerifyWith rehashes.
 type VerifyOptions struct {
-	// Full recomputes every leaf hash and batch root (and, for v1
-	// segments, every record hash — those are always fully walked).
-	// When false, v2 segments are checked by root: every batch
-	// header's chain link is recomputed and leaf lines are counted,
-	// but leaves are not rehashed unless spot-checked.
+	// Full recomputes every leaf hash and batch root. When false,
+	// segments are checked by root: every batch header's chain link
+	// is recomputed and leaf lines are counted, but leaves are not
+	// rehashed unless spot-checked.
 	Full bool
 	// SpotCheck fully rehashes this many batches in by-root mode,
 	// picked deterministically from the walked chain head — so which
@@ -1066,7 +960,7 @@ type VerifyOptions struct {
 	AnchorRecords uint64
 }
 
-// BatchFault is one localized v2 verification failure: the batch it
+// BatchFault is one localized verification failure: the batch it
 // names failed (root mismatch, count mismatch, bad ordering) but the
 // chain before and after it still links, so later batches remain
 // individually trustworthy — unlike a per-record chain, corruption
@@ -1106,13 +1000,13 @@ type VerifyResult struct {
 	LastChain string
 }
 
-// Verify re-walks every persisted segment recomputing every hash: v1
-// records are re-chained from genesis, v2 leaves are rehashed into
-// their batch roots and the root chain is re-linked. Any in-place
-// modification, reorder or insertion is caught; v2 corruption is
-// localized to its batch. A live Log also checks the walked head
-// against its in-memory chain state, which catches tail truncation;
-// across restarts, pass an explicit anchor to VerifyWith instead.
+// Verify re-walks every persisted segment recomputing every hash:
+// leaves are rehashed into their batch roots and the root chain is
+// re-linked. Any in-place modification, reorder or insertion is
+// caught; corruption is localized to its batch. A live Log also
+// checks the walked head against its in-memory chain state, which
+// catches tail truncation; across restarts, pass an explicit anchor
+// to VerifyWith instead.
 func (l *Log) Verify() (VerifyResult, error) {
 	return l.VerifyWith(VerifyOptions{Full: true})
 }
@@ -1144,14 +1038,9 @@ func (l *Log) VerifyWith(o VerifyOptions) (VerifyResult, error) {
 		}
 	}
 	var (
-		prevChain [32]byte // v2 root chain state
-		prevRec   [32]byte // v1 record chain state
+		prevChain [32]byte
 		lastRoot  [32]byte
 		lastSeq   uint64
-		v1Broken  bool
-		sawV1     bool
-		sawV2     bool
-		chainBuf  []byte
 		spotRefs  []spotRef
 	)
 	for _, name := range names {
@@ -1160,50 +1049,6 @@ func (l *Log) VerifyWith(o VerifyOptions) (VerifyResult, error) {
 			return VerifyResult{}, err
 		}
 		res.Segments++
-		if !isV2Segment(data) {
-			// v1 segment: always a full per-record chain walk — there
-			// are no roots to verify by. The first broken link ends
-			// the v1 check ("chain broken from here").
-			if sawV2 {
-				fault(name, 1, "v1 segment after v2 segments", nil)
-				continue
-			}
-			sawV1 = true
-			off, lineNo := 0, 0
-			for off < len(data) {
-				line, next := nextLine(data, off)
-				off = next
-				lineNo++
-				if len(line) == 0 {
-					continue
-				}
-				rec, err := parseRecordLine(line, true)
-				if err != nil {
-					return VerifyResult{}, fmt.Errorf("%s line %d: %w", name, lineNo, err)
-				}
-				if v1Broken {
-					continue
-				}
-				res.Records++
-				chainBuf = append(chainBuf[:0], prevRec[:]...)
-				chainBuf = rec.appendBody(chainBuf)
-				digest := sha256.Sum256(chainBuf)
-				sum := hex.EncodeToString(digest[:])
-				switch {
-				case sum != rec.Hash:
-					fault(name, lineNo, fmt.Sprintf("hash mismatch at seq %d (chain broken from here)", rec.Seq), nil)
-					v1Broken = true
-				case rec.Seq <= lastSeq:
-					fault(name, lineNo, fmt.Sprintf("sequence not increasing: %d after %d", rec.Seq, lastSeq), nil)
-					v1Broken = true
-				default:
-					prevRec = digest
-					lastSeq = rec.Seq
-				}
-			}
-			continue
-		}
-		sawV2 = true
 		// Never trust the cached index here: verification is the
 		// adversarial path, and a tampered or truncated segment must be
 		// judged by the bytes actually on disk.
@@ -1262,12 +1107,8 @@ func (l *Log) VerifyWith(o VerifyOptions) (VerifyResult, error) {
 	// Anchors: an explicit published head, or — on a live Log — the
 	// in-memory chain state. Either pins down tail truncation, which
 	// no amount of rehashing surviving records can see.
-	if sawV2 || !sawV1 {
-		res.LastChain = hex.EncodeToString(prevChain[:])
-		res.LastRoot = hex.EncodeToString(lastRoot[:])
-	} else {
-		res.LastChain = hex.EncodeToString(prevRec[:])
-	}
+	res.LastChain = hex.EncodeToString(prevChain[:])
+	res.LastRoot = hex.EncodeToString(lastRoot[:])
 	if o.AnchorChain != "" && res.OK && o.AnchorChain != res.LastChain {
 		res.OK = false
 		res.Reason = "trail head does not match the anchored chain value (tail truncated or rewritten)"
@@ -1276,16 +1117,9 @@ func (l *Log) VerifyWith(o VerifyOptions) (VerifyResult, error) {
 		res.OK = false
 		res.Reason = fmt.Sprintf("trail holds %d records, anchor says %d (tail truncated?)", res.Records, o.AnchorRecords)
 	}
-	if res.OK && !v1Broken {
-		live := hex.EncodeToString(l.prev[:])
-		if l.batches > 0 && sawV2 && res.LastChain != live {
-			res.OK = false
-			res.Reason = "trail head does not match the live chain state (tail truncated or rewritten)"
-		}
-		if l.legacy && l.chained.Load() > 0 && !sawV2 && res.LastChain != live {
-			res.OK = false
-			res.Reason = "trail head does not match the live chain state (tail truncated or rewritten)"
-		}
+	if res.OK && l.batches > 0 && res.LastChain != hex.EncodeToString(l.prev[:]) {
+		res.OK = false
+		res.Reason = "trail head does not match the live chain state (tail truncated or rewritten)"
 	}
 	return res, nil
 }
@@ -1319,7 +1153,7 @@ func verifyBatchLeaves(data []byte, m *batchMeta) (int, string) {
 		if len(line) == 0 {
 			continue
 		}
-		rec, err := parseRecordLine(line, false)
+		rec, err := parseRecordLine(line)
 		if err != nil {
 			return n, fmt.Sprintf("batch %d leaf %d: %v", m.idx, n, err)
 		}
@@ -1363,12 +1197,6 @@ func countLines(data []byte) int {
 		n++
 	}
 	return n
-}
-
-// hexDecodeInto decodes src hex into dst; src is a hash this package
-// produced, so decode errors cannot occur.
-func hexDecodeInto(dst []byte, src string) {
-	_, _ = hex.Decode(dst, []byte(src))
 }
 
 // ----- stats -----
@@ -1458,8 +1286,6 @@ func (l *Log) Stats() Stats {
 	st.Batches = int64(l.batches)
 	if l.batches > 0 {
 		st.LastRoot = hex.EncodeToString(l.lastRoot[:])
-	}
-	if l.batches > 0 || (l.legacy && st.Records > 0) {
 		st.LastChain = hex.EncodeToString(l.prev[:])
 	}
 	return st

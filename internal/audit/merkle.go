@@ -9,9 +9,10 @@ import (
 	"strconv"
 )
 
-// Segment format v2 — Merkle batch commits.
+// Segment format — Merkle batch commits. It is the only format the
+// log writes or reads.
 //
-// A v2 segment is a sequence of text lines:
+// A segment is a sequence of text lines:
 //
 //	!v2
 //	#<batch>\t<count>\t<first>\t<last>\t<mask>\t<root>\t<chain>
@@ -19,10 +20,10 @@ import (
 //	#...                     (next batch header)
 //	...
 //
-// The first line of every v2 segment is the version marker "!v2"; v1
-// segments (PR 3) start directly with a record line, so the first byte
-// ('!' vs a digit) discriminates the formats and Verify/Query can walk
-// mixed stores.
+// The first line of every segment is the version marker "!v2", and it
+// is required: a segment without it — an empty one included — does not
+// parse, so Verify reports it as a fault and Query, Prove and resume
+// refuse it. Every batch header's count is at least 1.
 //
 // A leaf line is a record body exactly as appendBody renders it — the
 // 8 tab-separated fields, with NO per-record hash field. Integrity
@@ -46,7 +47,7 @@ import (
 //	a level's lone trailing node is promoted unhashed
 //
 // Hashing eight leaf lines per SHA-256 call amortizes the per-call
-// overhead that per-record chaining paid on every record, and the
+// overhead that hashing each record alone would pay, and the
 // arity-8 fan-out keeps proofs shallow: a 256-record batch is 32 leaf
 // groups and two interior levels, so VerifyProof folds 1 group hash +
 // 2 interior hashes — O(log n) — against the root.
@@ -62,7 +63,7 @@ const (
 	chainPrefix    = 0x02 // root-chain link over prevChain ++ headerBase
 )
 
-// segVersionLine is the first line of every v2 segment.
+// segVersionLine is the first line of every segment.
 const segVersionLine = "!v2\n"
 
 // leafGroupHash hashes one group of up to merkleFanOut leaf lines
@@ -208,6 +209,9 @@ func parseBatchHeader(line []byte) (batchMeta, error) {
 	if m.count, err = atoiBytes(fields[1]); err != nil {
 		return m, fmt.Errorf("audit: bad batch count: %w", err)
 	}
+	if m.count < 1 {
+		return m, fmt.Errorf("audit: bad batch count %d, want at least 1", m.count)
+	}
 	if m.first, err = strconv.ParseUint(string(fields[2]), 10, 64); err != nil {
 		return m, fmt.Errorf("audit: bad batch first seq: %w", err)
 	}
@@ -260,9 +264,4 @@ func nextLine(data []byte, off int) (line []byte, next int) {
 		return data[off : off+i], off + i + 1
 	}
 	return data[off:], len(data)
-}
-
-// isV2Segment reports whether segment data is in v2 format.
-func isV2Segment(data []byte) bool {
-	return len(data) > 0 && data[0] == '!'
 }

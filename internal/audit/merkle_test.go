@@ -295,84 +295,6 @@ func TestMerkleWaitHoldsPartialBatch(t *testing.T) {
 	}
 }
 
-func TestLegacyChainPerRecordMode(t *testing.T) {
-	l, store := newTestLog(t, Config{Mask: CatAll, ChainPerRecord: true, SegmentRecords: 16})
-	emitN(l, 40)
-	l.Sync()
-	res, err := l.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK || res.Records != 40 || res.Batches != 0 {
-		t.Fatalf("legacy trail: %+v", res)
-	}
-	data, err := store.Read(segmentName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isV2Segment(data) {
-		t.Fatal("legacy mode wrote a v2 segment")
-	}
-	recs, err := l.Query(Query{User: "alice"})
-	if err != nil || len(recs) != 40 {
-		t.Fatalf("legacy query: %d records, %v", len(recs), err)
-	}
-	if recs[0].Hash == "" {
-		t.Fatal("legacy records must carry per-record hashes")
-	}
-	// Tampering still breaks the per-record chain from the edit on.
-	tampered := strings.Replace(string(data), "cmd 3", "cmd X", 1)
-	store.Put(segmentName(0), []byte(tampered))
-	res, _ = l.Verify()
-	if res.OK || !strings.Contains(res.Reason, "hash mismatch") {
-		t.Fatalf("legacy tamper detection: %+v", res)
-	}
-	// Prove has no Merkle batches to draw on.
-	if _, err := l.Prove(5); err == nil {
-		t.Fatal("Prove should fail on a v1-only trail")
-	}
-}
-
-func TestMixedV1ThenV2TrailVerifies(t *testing.T) {
-	store := NewMemStore()
-	legacy := New(Config{Mask: CatAll, ChainPerRecord: true, SegmentRecords: 8, Store: store})
-	emitN(legacy, 20)
-	legacy.Sync()
-
-	// A Merkle-mode Log resumes over the same store: new segments are
-	// v2, numbering continues, sequences stay monotonic.
-	l := New(Config{Mask: CatAll, MerkleBatch: 16, SegmentRecords: 8, Store: store})
-	emitN(l, 20)
-	l.Sync()
-
-	res, err := l.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK || res.Records != 40 {
-		t.Fatalf("mixed trail: %+v", res)
-	}
-	if res.Batches == 0 {
-		t.Fatal("v2 tail contributed no batches")
-	}
-	all, err := l.Query(Query{})
-	if err != nil || len(all) != 40 {
-		t.Fatalf("mixed query: %d, %v", len(all), err)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Seq <= all[i-1].Seq {
-			t.Fatalf("sequence regressed across the format boundary at %d", i)
-		}
-	}
-	// v2 records are provable; v1 records are not.
-	if _, err := l.Prove(all[len(all)-1].Seq); err != nil {
-		t.Fatalf("proving a v2 record: %v", err)
-	}
-	if _, err := l.Prove(1); err == nil {
-		t.Fatal("proving a v1 record should fail")
-	}
-}
-
 func TestResumeContinuesRootChain(t *testing.T) {
 	store := NewMemStore()
 	a := New(Config{Mask: CatAll, MerkleBatch: 8, SegmentRecords: 16, Store: store})
@@ -517,7 +439,7 @@ func TestBodyEncoderMatchesAppendBody(t *testing.T) {
 			t.Fatalf("record %d:\n got %q\nwant %q", i, got, want)
 		}
 		// v2 leaf lines round-trip without a hash field.
-		rt, err := parseRecordLine([]byte(got), false)
+		rt, err := parseRecordLine([]byte(got))
 		if err != nil {
 			t.Fatal(err)
 		}

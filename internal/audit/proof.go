@@ -58,7 +58,7 @@ func (p *Proof) Record() (Record, error) {
 	if p.GroupPos < 0 || p.GroupPos >= len(p.Group) {
 		return Record{}, fmt.Errorf("audit: proof group position %d outside group of %d", p.GroupPos, len(p.Group))
 	}
-	return parseRecordLine([]byte(p.Group[p.GroupPos]), false)
+	return parseRecordLine([]byte(p.Group[p.GroupPos]))
 }
 
 // Hashes reports how many hash computations VerifyProof performs for
@@ -68,9 +68,9 @@ func (p *Proof) Hashes() int { return 2 + len(p.Path) }
 
 // Prove returns an inclusion proof for the record with the given
 // sequence number. It forces a drain first so freshly emitted records
-// are provable. Records dropped on ring overflow (sequence gaps) and
-// records persisted in v1 segments have no Merkle batch and cannot be
-// proven.
+// are provable. Records dropped on ring overflow (sequence gaps) have
+// no Merkle batch and cannot be proven. A segment that does not parse
+// is an error, not a gap to skip.
 func (l *Log) Prove(seq uint64) (Proof, error) {
 	l.drainMu.Lock()
 	defer l.drainMu.Unlock()
@@ -87,11 +87,8 @@ func (l *Log) Prove(seq uint64) (Proof, error) {
 		if err != nil {
 			return Proof{}, err
 		}
-		if !isV2Segment(data) {
-			continue
-		}
 		idx := l.segIdx[name]
-		if idx == nil || idx.v1 || !idx.spans(len(data)) {
+		if idx == nil || !idx.spans(len(data)) {
 			if idx, err = buildSegIndex(data); err != nil {
 				return Proof{}, fmt.Errorf("%s: %w", name, err)
 			}
@@ -105,14 +102,16 @@ func (l *Log) Prove(seq uint64) (Proof, error) {
 			prevChain = m.chain
 		}
 	}
-	return Proof{}, fmt.Errorf("audit: seq %d is not in any Merkle batch (never persisted, dropped on overflow, or in a v1 segment)", seq)
+	return Proof{}, fmt.Errorf("audit: seq %d is not in any Merkle batch (never persisted or dropped on overflow)", seq)
 }
 
 // buildProof reconstructs the batch's tree and extracts the proof for
 // seq, which falls in the batch's header range.
 func buildProof(segment string, data []byte, m *batchMeta, prevChain [32]byte, seq uint64) (Proof, error) {
-	// Slice the leaf lines back out of the segment.
-	lines := make([][]byte, 0, m.count)
+	// Slice the leaf lines back out of the segment. The slice grows
+	// with the lines actually present: the header's count is not
+	// trusted to size it.
+	var lines [][]byte
 	leafIdx := -1
 	off := m.dataOff
 	for off < m.end {

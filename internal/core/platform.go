@@ -101,10 +101,6 @@ type Config struct {
 	// waiting to fill (audit.Config.MerkleWait). Zero uses the default.
 	AuditMerkleWait time.Duration
 
-	// AuditChainPerRecord selects the legacy per-record hash-chain audit
-	// format (v1 segments) instead of Merkle batch commits.
-	AuditChainPerRecord bool
-
 	// NoLaunchTemplates disables the sealed application-template fast
 	// path: every Exec re-derives the class closure through a fresh
 	// child loader, as before templates existed. Benchmarks use it to
@@ -384,10 +380,9 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("core: init audit store: %w", err)
 	}
 	p.audit = audit.New(audit.Config{
-		Store:          store,
-		MerkleBatch:    cfg.AuditMerkleBatch,
-		MerkleWait:     cfg.AuditMerkleWait,
-		ChainPerRecord: cfg.AuditChainPerRecord,
+		Store:       store,
+		MerkleBatch: cfg.AuditMerkleBatch,
+		MerkleWait:  cfg.AuditMerkleWait,
 	})
 	if p.quotas != nil && cfg.Quotas.MaxPendingAuditPerUser > 0 {
 		p.audit.SetAdmission(&auditAdmission{p: p})

@@ -104,8 +104,8 @@ var errRestart = errors.New("objspace: lock-order restart")
 
 // txAccess is one record touched by a transaction: the version
 // observed at first read, the snapshot it read, and the pending write
-// if any. held marks records whose latch the transaction acquired at
-// access time (pessimistic path).
+// if any. held marks records whose latch the transaction holds: taken
+// at access time (pessimistic path) or by Commit for its writes.
 type txAccess struct {
 	name  string
 	rec   *record
@@ -332,13 +332,14 @@ func tryLatch(r *record) bool {
 
 // Commit validates the read set and installs the write set as one
 // atomic unit. Protocol: (1) latch not-yet-held written records in
-// ascending name order (try-latch — a busy latch is a conflict);
-// (2) validate that every touched record's version still equals the
-// version observed at first read — records the transaction holds
-// latched are stable by construction; (3) install the writes, each
-// bumping its record's version; (4) release every latch. On conflict
-// nothing is installed, the blamed record's abort-rate estimator is
-// charged (possibly escalating it), and ErrConflict is returned.
+// ascending name order (try-latch — a busy latch is a conflict); from
+// here the transaction holds every record it writes; (2) validate the
+// reads with torn: every record it does not hold must be unlatched,
+// and every touched record's version must still equal the version
+// observed at first read; (3) install the writes, each bumping its
+// record's version; (4) release every latch. On conflict nothing is
+// installed, the blamed record's abort-rate estimator is charged
+// (possibly escalating it), and ErrConflict is returned.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -359,22 +360,18 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	latched := 0
 	var conflict *record
 	for _, a := range latch {
 		if !tryLatch(a.rec) {
 			conflict = a.rec
 			break
 		}
-		latched++
+		a.held = true // finish releases it
 	}
 	if conflict == nil {
-		conflict = tx.stale()
+		conflict = tx.torn()
 	}
 	if conflict != nil {
-		for _, a := range latch[:latched] {
-			a.rec.mu.Unlock()
-		}
 		tx.finish(false, conflict)
 		return ErrConflict
 	}
@@ -383,42 +380,33 @@ func (tx *Tx) Commit() error {
 			a.rec.install(a.write)
 		}
 	}
-	for _, a := range latch {
-		a.rec.mu.Unlock()
-	}
 	tx.finish(true, nil)
 	return nil
 }
 
-// stale returns the first touched record whose version moved since
-// the transaction observed it, or nil when its reads so far still
-// form one snapshot.
-func (tx *Tx) stale() *record {
+// torn returns a touched record showing that the transaction's reads
+// may not form one snapshot, or nil when they do: a record the
+// transaction does not hold is latched by a committer that may be
+// between installs, or a touched record has moved past the version
+// read. The latch check must come first: a committer latches its whole
+// write set before installing any of it, so once no latch is held,
+// every install that a read observed has a sibling install that the
+// version check sees.
+func (tx *Tx) torn() *record {
+	for i := range tx.acc {
+		if a := &tx.acc[i]; !a.held {
+			if !a.rec.mu.TryLock() {
+				return a.rec
+			}
+			a.rec.mu.Unlock()
+		}
+	}
 	for i := range tx.acc {
 		if a := &tx.acc[i]; versionOf(a.rec.state.Load()) != a.seen {
 			return a.rec
 		}
 	}
 	return nil
-}
-
-// torn reports whether the transaction's reads may not form one
-// snapshot: a touched record is latched by a committer that may be
-// between installs, or has moved past the version read. The latch
-// check must come first: a committer latches its whole write set
-// before installing any of it, so once no latch is held, every
-// install that a read observed has a sibling install that the version
-// check sees.
-func (tx *Tx) torn() bool {
-	for i := range tx.acc {
-		if a := &tx.acc[i]; !a.held {
-			if !a.rec.mu.TryLock() {
-				return true
-			}
-			a.rec.mu.Unlock()
-		}
-	}
-	return tx.stale() != nil
 }
 
 // Abort releases the transaction's latches and discards its buffered
@@ -430,7 +418,7 @@ func (tx *Tx) Abort() {
 	tx.finish(false, nil)
 }
 
-// finish releases encounter latches, settles the commit/abort
+// finish releases held latches, settles the commit/abort
 // counters and estimator, and emits the audit event for
 // security-relevant (typed) transactions.
 func (tx *Tx) finish(committed bool, conflict *record) {
@@ -537,7 +525,7 @@ func (s *Space) Atomically(owner int64, fn func(*Tx) error) error {
 			if err = tx.Commit(); err == nil {
 				return nil
 			}
-		} else if !tx.done && tx.torn() {
+		} else if !tx.done && tx.torn() != nil {
 			// fn failed on reads that straddle a concurrent commit;
 			// its error describes no real state, so retry the
 			// attempt instead of surfacing it.

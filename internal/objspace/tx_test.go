@@ -147,6 +147,49 @@ func TestTxReadOnlyValidation(t *testing.T) {
 	}
 }
 
+func TestTxReadOnlyCommitRejectsTornSnapshot(t *testing.T) {
+	// A committer latches its whole write set, then installs one record
+	// at a time. A read-only transaction that reads between the two
+	// installs sees acct.0 new and acct.1 old, and neither version moves
+	// before it commits: only the latch check can refuse that snapshot.
+	s := New()
+	bindBalances(t, s, 2, 1)
+	a := s.shardFor("acct.0").get("acct.0")
+	b := s.shardFor("acct.1").get("acct.1")
+	a.mu.Lock()
+	b.mu.Lock()
+	a.install(&Entry{Name: "acct.0", Object: 2, Owner: 2})
+
+	tx := s.Begin(1)
+	va, err := tx.Get("acct.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := tx.Get("acct.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va != 2 || vb != 1 {
+		t.Fatalf("mid-install reads = %v, %v; want 2, 1", va, vb)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("read-only commit of a torn snapshot: %v", err)
+	}
+
+	b.install(&Entry{Name: "acct.1", Object: 2, Owner: 2})
+	b.mu.Unlock()
+	a.mu.Unlock()
+	tx = s.Begin(1)
+	va, _ = tx.Get("acct.0")
+	vb, _ = tx.Get("acct.1")
+	if err := tx.Commit(); err != nil || va != 2 || vb != 2 {
+		t.Fatalf("read-only commit after the install = %v (reads %v, %v)", err, va, vb)
+	}
+	if st := s.TxStats(); st.Attempts != st.Commits+st.Aborts || st.Aborts != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestTxNotBoundAndUnbind(t *testing.T) {
 	s := New()
 	bindBalances(t, s, 1, 1)
